@@ -37,12 +37,16 @@ let full_read access =
   }
 
 let wrap_lca_kp name params access ~seed =
-  let algo = Lk_lcakp.Lca_kp.create params access ~seed in
   {
     Lca.name;
     n = Access.size access;
     fresh_run =
       (fun fresh ->
+        (* One [Lca_kp.t] per run: a preparing [t] belongs to one domain,
+           and harnesses run [fresh_run] on several domains at once
+           ([Consistency.measure ~jobs]).  [run] never reads the memo, so
+           the run gets none. *)
+        let algo = Lk_lcakp.Lca_kp.create ~cache_size:0 params access ~seed in
         let state = Lk_lcakp.Lca_kp.run algo ~fresh in
         {
           Lca.answers = (fun i -> Lk_lcakp.Lca_kp.answer algo state i);

@@ -140,7 +140,18 @@ let parse s =
               go ()
           | 'u' ->
               if !pos + 4 > n then fail "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+              let hex c =
+                match c with
+                | '0' .. '9' -> Char.code c - Char.code '0'
+                | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+                | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+                | _ -> fail "bad hex digit in \\u escape"
+              in
+              let code = ref 0 in
+              for k = 0 to 3 do
+                code := (!code lsl 4) lor hex s.[!pos + k]
+              done;
+              let code = !code in
               pos := !pos + 4;
               (* Code points below 0x80 as-is; the rest as UTF-8. *)
               if code < 0x80 then Buffer.add_char buf (Char.chr code)

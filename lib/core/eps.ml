@@ -22,20 +22,19 @@ let compute ?scratch (params : Params.t) ~seed ~large_profit ~encoded_efficienci
     if tmax < 1 then empty
     else begin
       let rq = Params.rquantile_params params in
-      let empirical = Lk_stats.Empirical.of_samples encoded_efficiencies in
-      (* One bootstrap workspace shared by all tmax quantile calls (and
-         reusable across prepares when the caller passes the arena's). *)
-      let scratch =
-        match scratch with
-        | Some b when Array.length b >= Array.length encoded_efficiencies -> b
-        | _ -> Array.make (Array.length encoded_efficiencies) 0
-      in
-      let quantile_at k p =
+      (* The sample and its bootstrap chunks are sorted once here and read
+         by all tmax quantile calls; [?scratch] (the arena's, across
+         prepares) holds the chunk-sorted copy. *)
+      let quantile_at =
         match params.Params.quantile with
         | Params.Reproducible ->
-            let shared = Rng.of_path seed [ "lca-kp"; "rquantile"; string_of_int k ] in
-            Rquantile.run ~empirical ~scratch rq ~shared ~p encoded_efficiencies
-        | Params.Naive -> Lk_stats.Empirical.quantile empirical p
+            let sample = Lk_repro.Rmedian.prepare ?scratch encoded_efficiencies in
+            fun k p ->
+              let shared = Rng.of_path seed [ "lca-kp"; "rquantile"; string_of_int k ] in
+              Rquantile.run_prepared rq ~shared ~p sample
+        | Params.Naive ->
+            let empirical = Lk_stats.Empirical.of_samples encoded_efficiencies in
+            fun _ p -> Lk_stats.Empirical.quantile empirical p
       in
       let raw =
         Array.init tmax (fun idx ->

@@ -25,7 +25,19 @@
     query accounting are all bit-identical with the cache on or off; only
     wall-clock changes.  Hits/misses are recorded on
     {!Lk_oracle.Counters} as separate (non-charged) bookkeeping, and
-    [~cache:false] bypasses the cache entirely. *)
+    [~cache:false] bypasses the cache entirely.
+
+    {2 Domains}
+
+    A [t] that prepares belongs to one domain.  {!run}, {!prepare} and
+    {!query} write the memo (a [Hashtbl] and a FIFO [Queue]) and the
+    preparation arena ({!Prep_arena}: code buffer, sort scratch, draw
+    block), none of which may be written from two domains at once; every
+    {!with_access} view shares them.  Code that prepares on several
+    domains creates one [t] per domain (or per trial).  {!answer} and
+    {!answer_many} only read the decision and fill the arena's salt memo,
+    whose concurrent writers all store the same value, so answers against
+    prepared states may run concurrently. *)
 
 type t
 

@@ -2,9 +2,14 @@ type t = {
   mutable salts : int array;
   mutable codes : int array;
   mutable sort : int array;
+  block : int array;
 }
 
-let create () = { salts = [||]; codes = [||]; sort = [||] }
+(* Large enough that the alias-table misses of one block overlap, small
+   enough to stay in L1 whatever the instance size. *)
+let block_size = 128
+
+let create () = { salts = [||]; codes = [||]; sort = [||]; block = Array.make block_size 0 }
 
 let salts t n =
   let len = Array.length t.salts in
@@ -25,3 +30,5 @@ let codes t n =
 let sort_scratch t n =
   if Array.length t.sort < n then t.sort <- Array.make n 0;
   t.sort
+
+let block t = t.block

@@ -22,11 +22,10 @@ let[@hot] build ?(arena = Prep_arena.create ()) (params : Params.t) access ~seed
   let salt_cache = Prep_arena.salts arena (Access.size access) in
   (* Line 1-3: sample R̄, dedupe, keep large items. *)
   let m = Params.r_sample_size params in
+  let block = Prep_arena.block arena in
   let seen = Hashtbl.create 64 in
-  for _ = 1 to m do
-    let i, it = Access.sample access fresh in
-    if it.Item.profit > cutoff then Hashtbl.replace seen i it
-  done;
+  Access.sample_each access fresh ~block m (fun i it ->
+      if it.Item.profit > cutoff then Hashtbl.replace seen i it);
   let large = Lk_util.Det.sorted_bindings seen in
   let n_large = List.length large in
   let large_profit =
@@ -53,15 +52,13 @@ let[@hot] build ?(arena = Prep_arena.create ()) (params : Params.t) access ~seed
       let a = int_of_float (ceil (3. *. float_of_int n_rq /. (2. *. small_mass))) in
       let buf = Prep_arena.codes arena a in
       let cursor = ref a in
-      for _ = 1 to a do
-        let i, it = Access.sample access fresh in
-        if it.Item.profit <= cutoff then begin
-          decr cursor;
-          Array.unsafe_set buf !cursor
-            (Params.encode_efficiency ~salt_cache params ~seed ~index:i
-               (Item.efficiency it))
-        end
-      done;
+      Access.sample_each access fresh ~block a (fun i it ->
+          if it.Item.profit <= cutoff then begin
+            decr cursor;
+            Array.unsafe_set buf !cursor
+              (Params.encode_efficiency ~salt_cache params ~seed ~index:i
+                 (Item.efficiency it))
+          end);
       let encoded = Array.sub buf !cursor (a - !cursor) in
       let scratch = Prep_arena.sort_scratch arena (Array.length encoded) in
       (Eps.compute ~scratch params ~seed ~large_profit ~encoded_efficiencies:encoded, a)

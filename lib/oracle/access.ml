@@ -61,3 +61,4 @@ let query t i = Query_oracle.item t.query_oracle i
 let query_many t idx = Query_oracle.items t.query_oracle idx
 let sample t rng = Weighted_oracle.sample t.weighted rng
 let sample_many t rng k = Weighted_oracle.sample_many t.weighted rng k
+let sample_each t rng ~block k f = Weighted_oracle.sample_each t.weighted rng ~block k f

@@ -70,3 +70,10 @@ val sample : t -> Lk_util.Rng.t -> int * Lk_knapsack.Item.t
 
 (** [sample_many t rng k] draws [k] items i.i.d. *)
 val sample_many : t -> Lk_util.Rng.t -> int -> (int * Lk_knapsack.Item.t) array
+
+(** [sample_each t rng ~block k f] draws [k] items and hands each
+    [(index, item)] to [f] in draw order, filling the caller-owned [block]
+    scratch a block at a time; results, bill and trace equal [k] calls of
+    {!sample} (see {!Weighted_oracle.sample_each}). *)
+val sample_each :
+  t -> Lk_util.Rng.t -> block:int array -> int -> (int -> Lk_knapsack.Item.t -> unit) -> unit

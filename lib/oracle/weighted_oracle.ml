@@ -34,3 +34,26 @@ let sample_many t rng k =
   Obs.emit_weighted_batch t.sink k;
   let idx = Lk_stats.Alias.sample_many t.alias rng k in
   Array.map (fun i -> (i, Lk_knapsack.Instance.item t.instance i)) idx
+
+(* Block draws: the alias loop fills the caller's fixed-size [block] with
+   the next [min k (length block)] draws at once, so the table lookups of a
+   block overlap in the memory system instead of each draw waiting on its
+   own cache misses.  Each draw is then charged, traced and handed to [f]
+   in draw order — the effects of [k] successive [sample] calls, as long as
+   [f] does not draw from [rng] itself. *)
+let sample_each t rng ~block k f =
+  let b = Array.length block in
+  if b = 0 then invalid_arg "Weighted_oracle.sample_each: empty block";
+  if k < 0 then invalid_arg "Weighted_oracle.sample_each: negative count";
+  let left = ref k in
+  while !left > 0 do
+    let len = min b !left in
+    Lk_stats.Alias.sample_many_into ~len t.alias rng block;
+    for j = 0 to len - 1 do
+      let i = Array.unsafe_get block j in
+      Counters.charge_weighted_sample t.counters;
+      Obs.emit_weighted_sample t.sink i;
+      f i (Lk_knapsack.Instance.item t.instance i)
+    done;
+    left := !left - len
+  done

@@ -40,3 +40,14 @@ val sample : t -> Lk_util.Rng.t -> int * Lk_knapsack.Item.t
 (** [sample_many t rng k] draws [k] items i.i.d. (one bulk charge and one
     bulk [Weighted_batch] trace event). *)
 val sample_many : t -> Lk_util.Rng.t -> int -> (int * Lk_knapsack.Item.t) array
+
+(** [sample_each t rng ~block k f] draws [k] items i.i.d. and calls
+    [f index item] on each, in draw order.  The draws are made
+    [Array.length block] at a time into the caller-owned scratch [block]
+    (contents clobbered), but every draw is charged and traced on its own:
+    indices, counter totals and the trace (one [Weighted_sample] event per
+    draw, emitted just before its [f] call) are exactly those of [k]
+    successive {!sample} calls interleaved with [f].  [f] must not draw
+    from [rng].  Raises [Invalid_argument] if [block] is empty or [k < 0]. *)
+val sample_each :
+  t -> Lk_util.Rng.t -> block:int array -> int -> (int -> Lk_knapsack.Item.t -> unit) -> unit

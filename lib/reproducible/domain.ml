@@ -25,8 +25,36 @@ let refine ~tie_bits ~code ~salt =
 
 let coarse ~tie_bits code = if tie_bits = 0 then code else code asr tie_bits
 
+(* [salt] is the first output of [Rng.of_path seed ["tie"; string_of_int
+   index]], shifted to 62 bits.  That derivation is written out here so it
+   runs without allocating: the two label hashes (64-bit FNV-1a steps, each
+   label closed by SplitMix64's mix13) read the decimal digits of [index]
+   in place instead of building the string, the label list and the
+   generator.  A property test pins it to the [Rng.of_path] definition. *)
+let[@inline] mix64 z =
+  let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+  Int64.(logxor z (shift_right_logical z 31))
+
+let[@inline] fnv h c = Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001B3L
+
+(* Largest power of ten with at most as many digits as [index]. *)
+let top_power index =
+  let p = ref 1 in
+  while index / !p >= 10 || index / !p <= -10 do
+    p := !p * 10
+  done;
+  !p
+
 let salt ~seed ~index =
+  let h = ref (mix64 (fnv (fnv (fnv (mix64 seed) 't') 'i') 'e')) in
+  if index < 0 then h := fnv !h '-';
+  (* Digits most significant first; [abs] of each quotient digit rather
+     than of [index], which would overflow on [min_int]. *)
+  let p = ref (top_power index) in
+  while !p > 0 do
+    h := fnv !h (Char.unsafe_chr (Char.code '0' + abs (index / !p mod 10)));
+    p := !p / 10
+  done;
   Int64.to_int
-    (Int64.shift_right_logical
-       (Lk_util.Rng.int64 (Lk_util.Rng.of_path seed [ "tie"; string_of_int index ]))
-       2)
+    (Int64.shift_right_logical (mix64 (Int64.add (mix64 !h) 0x9E3779B97F4A7C15L)) 2)

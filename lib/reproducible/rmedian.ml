@@ -39,10 +39,40 @@ let draw_threshold ~shared ~tau p =
   let q = p -. (tau /. 4.) +. (tau /. 2. *. Rng.float shared) in
   Fu.clamp ~lo:1e-9 ~hi:1. q
 
-let rec quantile ?empirical ?scratch params ~shared ~p samples =
+(* A sample prepared for any number of quantile calls.  The bootstrap
+   chunks depend on the sample alone (never on p or the shared
+   randomness), so they are cut and sorted once, on the first call that
+   bootstraps, and every later call reads the same sorted chunks. *)
+type prepared = {
+  raw : int array;
+  empirical : Empirical.t;
+  scratch : int array;  (* the caller's buffer for [chunks], or [||] *)
+  mutable chunks : int array;  (* [||] until first needed *)
+}
+
+let prepare ?(scratch = [||]) samples =
+  if Array.length samples = 0 then invalid_arg "Rmedian.prepare: empty sample";
+  { raw = samples; empirical = Empirical.of_samples samples; scratch; chunks = [||] }
+
+(* The first [bootstrap_chunks * (n / bootstrap_chunks)] samples, cut into
+   [bootstrap_chunks] equal consecutive chunks, each sorted in place inside
+   one buffer (the caller's scratch when it is big enough). *)
+let sorted_chunks s =
+  if Array.length s.chunks = 0 then begin
+    let chunk = Array.length s.raw / bootstrap_chunks in
+    let used = chunk * bootstrap_chunks in
+    let buf = if Array.length s.scratch >= used then s.scratch else Array.make used 0 in
+    Array.blit s.raw 0 buf 0 used;
+    for c = 0 to bootstrap_chunks - 1 do
+      Lk_util.Int_sort.sort_range buf ~pos:(c * chunk) ~len:chunk
+    done;
+    s.chunks <- buf
+  end;
+  s.chunks
+
+let rec quantile_prepared params ~shared ~p s =
   validate params;
-  if Array.length samples = 0 then invalid_arg "Rmedian.quantile: empty sample";
-  let e = match empirical with Some e -> e | None -> Empirical.of_samples samples in
+  let e = s.empirical in
   let q_hat = draw_threshold ~shared ~tau:params.tau p in
   if params.bits <= base_bits then
     (* Base case: tiny domain, the random threshold alone suffices (at most
@@ -67,7 +97,7 @@ let rec quantile ?empirical ?scratch params ~shared ~p samples =
        branch taken, so parallel runs stay aligned. *)
     let boundary_shift = Rng.float shared in
     let rec_shared = Rng.split shared in
-    let n = Array.length samples in
+    let n = Array.length s.raw in
     let spacing =
       if n < bootstrap_chunks * min_chunk then 1
       else begin
@@ -75,24 +105,12 @@ let rec quantile ?empirical ?scratch params ~shared ~p samples =
            then pick its scale exponent by a *recursive* reproducible median
            over the exponent domain [0 .. bits] — the log* step.  The shared
            [boundary_shift] randomizes the power-of-two rounding boundary so
-           no width distribution can sit exactly on an exponent edge.
-
-           Chunks are sorted in place inside one scratch buffer (the
-           caller's [?scratch] when it is big enough): same values per chunk
-           as the former per-chunk copy + sort, without the 64 intermediate
-           arrays. *)
+           no width distribution can sit exactly on an exponent edge. *)
         let chunk = n / bootstrap_chunks in
-        let used = chunk * bootstrap_chunks in
-        let buf =
-          match scratch with
-          | Some b when Array.length b >= used -> b
-          | _ -> Array.make used 0
-        in
-        Array.blit samples 0 buf 0 used;
+        let buf = sorted_chunks s in
         let widths = Array.make bootstrap_chunks 0 in
         for c = 0 to bootstrap_chunks - 1 do
           let pos = c * chunk in
-          Lk_util.Int_sort.sort_range buf ~pos ~len:chunk;
           let a =
             Empirical.quantile_sorted_range buf ~pos ~len:chunk
               (q_hat -. (params.tau /. 4.))
@@ -107,8 +125,7 @@ let rec quantile ?empirical ?scratch params ~shared ~p samples =
         let rec_params =
           { tau = 0.25; rho = params.rho /. 2.; bits = Domain.exponent_bits params.bits }
         in
-        let j = quantile rec_params ~shared:rec_shared ~p:0.5 widths in
-        (* (recursive call sorts its own 64-element width sample) *)
+        let j = quantile_prepared rec_params ~shared:rec_shared ~p:0.5 (prepare widths) in
         max 1 (1 lsl (max 0 (min 61 j - 1)))
       end
     in
@@ -127,5 +144,9 @@ let rec quantile ?empirical ?scratch params ~shared ~p samples =
     end
   end
 
-let median ?empirical ?scratch params ~shared samples =
-  quantile ?empirical ?scratch params ~shared ~p:0.5 samples
+let quantile params ~shared ~p samples =
+  validate params;
+  if Array.length samples = 0 then invalid_arg "Rmedian.quantile: empty sample";
+  quantile_prepared params ~shared ~p (prepare samples)
+
+let median params ~shared samples = quantile params ~shared ~p:0.5 samples

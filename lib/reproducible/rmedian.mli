@@ -49,33 +49,32 @@ val theoretical_sample_complexity : params -> float
     [tau]-approximate [p]-quantile of the distribution the [samples] were
     drawn from.  [shared] is the shared internal randomness (same seed ⇒
     same randomness across runs); [samples] are the run's fresh draws,
-    encoded into the domain [[0, 2^bits)].
-
-    [?empirical] lets a caller that issues many quantile calls over the
-    same sample pass the sorted view once instead of re-sorting per call
-    (it must be [Empirical.of_samples samples]).
-
-    [?scratch] is an optional reusable workspace of length ≥
-    [Array.length samples] for the bootstrap stage; its contents are
-    clobbered.  Purely an allocation saving — results are identical with or
-    without it. *)
-val quantile :
-  ?empirical:Lk_stats.Empirical.t ->
-  ?scratch:int array ->
-  params ->
-  shared:Lk_util.Rng.t ->
-  p:float ->
-  int array ->
-  int
+    encoded into the domain [[0, 2^bits)].  Equal to
+    [quantile_prepared params ~shared ~p (prepare samples)]. *)
+val quantile : params -> shared:Lk_util.Rng.t -> p:float -> int array -> int
 
 (** [median params ~shared samples] is [quantile params ~shared ~p:0.5]. *)
-val median :
-  ?empirical:Lk_stats.Empirical.t ->
-  ?scratch:int array ->
-  params ->
-  shared:Lk_util.Rng.t ->
-  int array ->
-  int
+val median : params -> shared:Lk_util.Rng.t -> int array -> int
+
+(** A sample prepared once for any number of quantile calls: the raw
+    sample, its sorted copy, and its bootstrap chunks, each sorted (cut and
+    sorted on the first call that needs them).  None of it depends on
+    [params], [p] or the shared randomness. *)
+type prepared
+
+(** [prepare ?scratch samples] prepares [samples] (not copied: the caller
+    must not mutate it while the prepared value is in use).  [?scratch]
+    is an optional buffer of length ≥ [Array.length samples] that the
+    chunk-sorted copy is built in; it then belongs to the prepared value
+    until its last use.  Purely an allocation saving — results are
+    identical with or without it.  Raises [Invalid_argument] on an empty
+    sample. *)
+val prepare : ?scratch:int array -> int array -> prepared
+
+(** [quantile_prepared params ~shared ~p s] is {!quantile} over the
+    prepared sample [s]: the same output, without re-sorting the sample or
+    its bootstrap chunks on every call. *)
+val quantile_prepared : params -> shared:Lk_util.Rng.t -> p:float -> prepared -> int
 
 (** Depth of the exponent-domain recursion for a given domain width —
     the implementation's analogue of [log* |X|]. *)

@@ -43,23 +43,31 @@ let size t = Array.length t.prob
 let probability t i = t.weights.(i)
 let cell t i = (t.prob.(i), t.alias.(i))
 
-let sample t rng =
-  let i = Lk_util.Rng.int_bound rng (size t) in
-  if Lk_util.Rng.float rng < t.prob.(i) then i else t.alias.(i)
+(* One draw: a uniform cell, then the stay/alias coin.  The coin is
+   [Rng.float rng < prob.(i)] with [Rng.float] written out (its documented
+   definition, [bits53 * 2^-53]): across the module boundary [Rng.float]
+   returns a boxed float, while this keeps the comparison unboxed, so a draw
+   allocates nothing.  The stream consumed and the index drawn are the
+   same. *)
+let[@inline] draw prob alias n rng =
+  let i = Lk_util.Rng.int_bound rng n in
+  if Stdlib.float_of_int (Lk_util.Rng.bits53 rng) *. 0x1p-53 < Array.unsafe_get prob i then i
+  else Array.unsafe_get alias i
 
-(* Batched draws: one tight loop over a caller-owned buffer.  Consumes the
-   stream in exactly the per-draw order of [sample] (cell index, then the
-   stay/alias coin), so a batch of [k] and [k] single draws from equal rng
-   states produce identical indices — only the per-draw closure and
-   intermediate allocations go away. *)
-let[@hot] sample_many_into t rng buf =
+let sample t rng = draw t.prob t.alias (size t) rng
+
+(* Batched draws: one tight loop over a caller-owned buffer, consuming the
+   stream in exactly the per-draw order of [sample], so a batch of [k] and
+   [k] single draws from equal rng states produce identical indices.  The
+   draws of one batch do not depend on each other's table lookups, so their
+   cache misses on a large table overlap. *)
+let[@hot] sample_many_into ?len t rng buf =
+  let len = match len with None -> Array.length buf | Some l -> l in
+  if len < 0 || len > Array.length buf then invalid_arg "Alias.sample_many_into: bad length";
   let n = size t in
   let prob = t.prob and alias = t.alias in
-  for j = 0 to Array.length buf - 1 do
-    let i = Lk_util.Rng.int_bound rng n in
-    let u = Lk_util.Rng.float rng in
-    Array.unsafe_set buf j
-      (if u < Array.unsafe_get prob i then i else Array.unsafe_get alias i)
+  for j = 0 to len - 1 do
+    Array.unsafe_set buf j (draw prob alias n rng)
   done
 
 let sample_many t rng k =

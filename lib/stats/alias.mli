@@ -30,8 +30,9 @@ val sample : t -> Lk_util.Rng.t -> int
     exactly as [k] successive {!sample} calls would. *)
 val sample_many : t -> Lk_util.Rng.t -> int -> int array
 
-(** [sample_many_into t rng buf] fills the caller-owned [buf] with
-    [Array.length buf] i.i.d. draws — the allocation-free batch kernel
-    behind {!sample_many}.  Same stream consumption as repeated
-    {!sample}. *)
-val sample_many_into : t -> Lk_util.Rng.t -> int array -> unit
+(** [sample_many_into ?len t rng buf] fills [buf.(0) .. buf.(len-1)]
+    ([len] defaults to [Array.length buf]) with i.i.d. draws — the
+    allocation-free batch kernel behind {!sample_many} and the oracle's
+    block draws.  Same stream consumption as repeated {!sample}.  Raises
+    [Invalid_argument] unless [0 <= len <= Array.length buf]. *)
+val sample_many_into : ?len:int -> t -> Lk_util.Rng.t -> int array -> unit

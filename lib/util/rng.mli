@@ -5,7 +5,11 @@
     the paper (Definition 2.2) is given a read-only random seed [r]; we model
     [r] as an [int64] from which a generator — and, via {!split} and
     {!of_path}, arbitrarily many independent sub-generators — is derived
-    deterministically. *)
+    deterministically.
+
+    A generator's state is one 64-bit word held unboxed, so drawing
+    ({!int64}, {!bits53}, {!int_bound}, ...) allocates nothing.  A
+    generator is mutable and belongs to one domain at a time. *)
 
 type t
 
@@ -65,7 +69,8 @@ val of_path : int64 -> string list -> t
 (** Next raw 64-bit output. *)
 val int64 : t -> int64
 
-(** [bits53 t] is a uniform integer in [[0, 2^53)]. *)
+(** [bits53 t] is a uniform integer in [[0, 2^53)]: the top 53 bits of
+    the next {!int64} output. *)
 val bits53 : t -> int
 
 (** [int_bound t n] is uniform in [[0, n-1]]; [n] must be positive. *)
@@ -74,7 +79,9 @@ val int_bound : t -> int -> int
 (** [int_range t lo hi] is uniform in [[lo, hi]] inclusive. *)
 val int_range : t -> int -> int -> int
 
-(** [float t] is uniform in [[0, 1)]. *)
+(** [float t] is uniform in [[0, 1)]; it is exactly
+    [float_of_int (bits53 t) *. 0x1p-53], and callers that need the
+    comparison unboxed (the alias sampler) may rely on that definition. *)
 val float : t -> float
 
 (** [uniform t a b] is uniform in [[a, b)]. *)

@@ -49,7 +49,11 @@ let test_json_parse_errors () =
       match Json.parse bad with
       | exception Json.Parse_error _ -> ()
       | _ -> Alcotest.failf "accepted malformed input %S" bad)
-    [ "{"; "[1,"; "\"unterminated"; "nul"; "{\"a\" 1}"; "1 2"; "" ]
+    [
+      "{"; "[1,"; "\"unterminated"; "nul"; "{\"a\" 1}"; "1 2"; "";
+      (* \u escapes take exactly four hex digits *)
+      "\"\\u12G4\""; "\"\\u1_23\""; "\"\\u-123\""; "\"\\u12\"";
+    ]
 
 let test_json_rejects_nan () =
   Alcotest.check_raises "nan" (Invalid_argument "Json: nan/infinity have no JSON representation")

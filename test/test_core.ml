@@ -129,6 +129,65 @@ let test_eps_threshold_bounds () =
   Alcotest.check_raises "out of range" (Invalid_argument "Eps.threshold: index out of range")
     (fun () -> ignore (Eps.threshold eps 1))
 
+(* Lines 4-17 of Algorithm 2 with one self-contained rQuantile call per
+   threshold: every call sorts the sample and cuts and sorts its own
+   bootstrap chunks.  [Eps.compute] prepares the sample once for all its
+   calls (and builds the chunks in a caller's scratch); it must give the
+   same thresholds. *)
+let eps_reference (params : Params.t) ~seed ~large_profit codes =
+  let epsilon = params.Params.epsilon in
+  let small_mass = 1. -. large_profit in
+  if small_mass < epsilon || Array.length codes = 0 then [||]
+  else begin
+    let q = (epsilon +. (epsilon ** 2. /. 2.)) /. small_mass in
+    let tmax = int_of_float (floor (1. /. q)) in
+    if tmax < 1 then [||]
+    else begin
+      let raw =
+        Array.init tmax (fun idx ->
+            let k = idx + 1 in
+            let shared = Rng.of_path seed [ "lca-kp"; "rquantile"; string_of_int k ] in
+            Lk_repro.Rquantile.run (Params.rquantile_params params) ~shared
+              ~p:(1. -. (float_of_int k *. q))
+              (Array.copy codes))
+      in
+      for i = 1 to tmax - 1 do
+        if raw.(i) > raw.(i - 1) then raw.(i) <- raw.(i - 1)
+      done;
+      let cutoff =
+        Domain.refine ~tie_bits:params.Params.tie_bits
+          ~code:(Domain.encode ~bits:params.Params.bits (epsilon ** 2.))
+          ~salt:0
+      in
+      Array.sub raw 0 (if raw.(tmax - 1) < cutoff then tmax - 1 else tmax)
+    end
+  end
+
+let prop_eps_prepared_equals_reference =
+  let params = Params.practical 0.25 in
+  QCheck.Test.make ~name:"Eps.compute = per-quantile re-sorting reference" ~count:60
+    QCheck.(
+      quad int64
+        (oneof [ int_range 1 4095; int_range 4096 9000 ])
+        (float_bound_inclusive 0.6) (int_range 0 2))
+    (fun (seed, n, large_profit, scratch_kind) ->
+      let rng = Rng.create seed in
+      (* efficiencies with heavy ties, encoded like the LCA's sample *)
+      let codes =
+        Array.init n (fun i ->
+            let eff = if Rng.bool rng then float_of_int (Rng.int_bound rng 8) else Rng.uniform rng 0. 4. in
+            Params.encode_efficiency params ~seed ~index:(i mod 97) eff)
+      in
+      let original = Array.copy codes in
+      let scratch =
+        match scratch_kind with
+        | 0 -> None
+        | 1 -> Some (Array.make (n + 5) (-7))  (* dirty, big enough *)
+        | _ -> Some (Array.make (n / 2) 3)  (* too small: ignored *)
+      in
+      let got = Eps.compute ?scratch params ~seed ~large_profit ~encoded_efficiencies:codes in
+      got.Eps.codes = eps_reference params ~seed ~large_profit original && codes = original)
+
 (* ---------- Tilde ---------- *)
 
 let few_large_access ?(n = 4000) seed =
@@ -589,6 +648,7 @@ let () =
           Alcotest.test_case "empty when large dominates" `Quick test_eps_empty_when_large_dominates;
           Alcotest.test_case "monotone + buckets" `Quick test_eps_monotone_and_buckets;
           Alcotest.test_case "threshold bounds" `Quick test_eps_threshold_bounds;
+          QCheck_alcotest.to_alcotest prop_eps_prepared_equals_reference;
         ] );
       ( "tilde",
         [

@@ -127,6 +127,48 @@ let test_weighted_oracle_of_weights_mismatch () =
     (Invalid_argument "Weighted_oracle.of_weights: length mismatch") (fun () ->
       ignore (Weighted_oracle.of_weights ~counters:c demo [| 1. |]))
 
+(* Block draws are [k] single draws: from equal rng states, the indices,
+   items, counter totals, exit rng state and the bytes of an enabled trace
+   must all match, for [k] below, at and above the block size. *)
+let prop_sample_each_equals_samples =
+  let inst =
+    let r = Rng.create 17L in
+    Instance.of_pairs
+      (List.init 300 (fun _ -> (Rng.uniform r 0.1 5., Rng.uniform r 0.1 5.)))
+      ~capacity:50.
+  in
+  QCheck.Test.make ~name:"sample_each = k x sample (items, bill, trace)" ~count:200
+    QCheck.(triple int64 (int_range 1 16) (int_range 0 64))
+    (fun (seed, b, k) ->
+      let run draw =
+        let sink = Lk_obs.Obs.recorder () in
+        let access = Access.with_sink (Access.of_instance inst) sink in
+        let rng = Rng.create seed in
+        let got = ref [] in
+        draw access rng (fun i it -> got := (i, it) :: !got);
+        ( List.rev !got,
+          Counters.weighted_samples (Access.counters access),
+          Counters.index_queries (Access.counters access),
+          Rng.int64 rng,
+          List.map Lk_obs.Event.to_string (Lk_obs.Obs.events sink) )
+      in
+      let block = Array.make b (-1) in
+      run (fun access rng f -> Access.sample_each access rng ~block k f)
+      = run (fun access rng f ->
+            for _ = 1 to k do
+              let i, it = Access.sample access rng in
+              f i it
+            done))
+
+let test_sample_each_invalid () =
+  let a = Access.of_instance demo in
+  Alcotest.check_raises "empty block"
+    (Invalid_argument "Weighted_oracle.sample_each: empty block") (fun () ->
+      Access.sample_each a (Rng.create 1L) ~block:[||] 3 (fun _ _ -> ()));
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Weighted_oracle.sample_each: negative count") (fun () ->
+      Access.sample_each a (Rng.create 1L) ~block:[| 0 |] (-1) (fun _ _ -> ()))
+
 let () =
   Alcotest.run "oracle"
     [
@@ -150,5 +192,7 @@ let () =
           Alcotest.test_case "deterministic sampling" `Quick test_access_sampling_deterministic;
           Alcotest.test_case "sampling modes" `Quick test_access_sampling_modes;
           Alcotest.test_case "of_weights mismatch" `Quick test_weighted_oracle_of_weights_mismatch;
+          Alcotest.test_case "sample_each invalid" `Quick test_sample_each_invalid;
+          QCheck_alcotest.to_alcotest prop_sample_each_equals_samples;
         ] );
     ]

@@ -357,6 +357,21 @@ let prop_salt_deterministic =
       let s = Int64.of_int seed in
       Domain.salt ~seed:s ~index = Domain.salt ~seed:s ~index)
 
+(* [Domain.salt] hashes the digits of [index] in place; its definition is
+   the first output of the generator derived along ["tie"; index], shifted
+   to 62 bits.  Indices cover small, large and negative values (min_int
+   included, whose absolute value overflows). *)
+let salt_by_definition ~seed ~index =
+  Int64.to_int
+    (Int64.shift_right_logical (Rng.int64 (Rng.of_path seed [ "tie"; string_of_int index ])) 2)
+
+let prop_salt_matches_of_path =
+  QCheck.Test.make ~name:"salt = first output of of_path seed [tie; index]" ~count:1000
+    QCheck.(
+      pair int64
+        (oneof [ int_bound 1_000_000; int; make (Gen.oneofl [ 0; 9; 10; -1; min_int; max_int ]) ]))
+    (fun (seed, index) -> Domain.salt ~seed ~index = salt_by_definition ~seed ~index)
+
 let () =
   Alcotest.run "reproducible"
     [
@@ -408,5 +423,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_refine_monotone;
           QCheck_alcotest.to_alcotest prop_encode_monotone;
           QCheck_alcotest.to_alcotest prop_salt_deterministic;
+          QCheck_alcotest.to_alcotest prop_salt_matches_of_path;
         ] );
     ]

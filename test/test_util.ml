@@ -172,6 +172,58 @@ let prop_split_at_siblings_differ =
       let t = Rng.create (Int64.of_int seed) in
       Rng.int64 (Rng.split_at t i) <> Rng.int64 (Rng.split_at t j))
 
+(* SplitMix64 known answers: the first outputs from seed 0 are the
+   published reference vector of the generator (Vigna's splitmix64.c); the
+   rest pin every derived draw to the stream this project has always
+   produced, so a change to the state's representation cannot move it. *)
+let test_rng_known_answers () =
+  let check_stream seed expected =
+    let t = Rng.create seed in
+    List.iteri
+      (fun k want -> Alcotest.(check int64) (Printf.sprintf "seed %Ld output %d" seed k) want (Rng.int64 t))
+      expected
+  in
+  check_stream 0L
+    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL; 0xf88bb8a8724c81ecL ];
+  check_stream 42L
+    [ 0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L; 0x581ce1ff0e4ae394L ];
+  let t = Rng.create 0L in
+  for _ = 1 to 4 do ignore (Rng.int64 t) done;
+  Alcotest.(check int) "int_bound" 28366 (Rng.int_bound t 100_000);
+  Alcotest.(check (float 0.)) "float" 0x1.4f2e7c31d1fa8p-2 (Rng.float t);
+  Alcotest.(check int) "bits53" 1566062512695462 (Rng.bits53 t);
+  Alcotest.(check int64) "split_at 3" (-2952909200083414477L) (Rng.int64 (Rng.split_at t 3));
+  let child = Rng.split t in
+  Alcotest.(check int64) "split child" (-1560629665965767182L) (Rng.int64 child);
+  Alcotest.(check int64) "split parent" 4532161160992623299L (Rng.int64 t);
+  Alcotest.(check int64) "of_path" 1074624639479045744L
+    (Rng.int64 (Rng.of_path 0L [ "tie"; "17" ]))
+
+(* copy / snapshot / restore / split_at round-trips: each one replays, or
+   leaves alone, exactly the stream the model says it does. *)
+let prop_rng_state_round_trips =
+  QCheck.Test.make ~name:"copy/snapshot/restore/split_at round-trips" ~count:200
+    QCheck.(triple int64 (int_bound 64) (int_bound 64))
+    (fun (seed, skip, i) ->
+      let advanced () =
+        let r = Rng.create seed in
+        for _ = 1 to skip do ignore (Rng.int64 r) done;
+        r
+      in
+      let draw r = List.init 8 (fun _ -> Rng.int64 r) in
+      let t = advanced () in
+      let s = Rng.snapshot t in
+      let c = Rng.copy t in
+      let child = draw (Rng.split_at t i) in
+      let unperturbed = Rng.snapshot_equal s (Rng.snapshot t) in
+      let from_t = draw t in
+      let from_copy = draw c in
+      Rng.restore t s;
+      let replayed = draw t in
+      unperturbed && from_t = from_copy && from_t = replayed
+      && child = draw (Rng.split_at (advanced ()) i)
+      && Rng.snapshot_hash s = Rng.snapshot_hash (Rng.snapshot (advanced ())))
+
 let test_kahan_sum () =
   let xs = Array.make 10_000 0.1 in
   Alcotest.(check (float 1e-9)) "compensated" 1000. (Fu.sum xs)
@@ -246,6 +298,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_split_at_pure;
           QCheck_alcotest.to_alcotest prop_split_at_matches_split_walk;
           QCheck_alcotest.to_alcotest prop_split_at_siblings_differ;
+        ] );
+      ( "splitmix64",
+        [
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
+          QCheck_alcotest.to_alcotest prop_rng_state_round_trips;
         ] );
       ( "float_utils",
         [

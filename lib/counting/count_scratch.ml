@@ -43,3 +43,5 @@ let float_slot t k len ~fill =
   let tbl = float_slot_raw t k len in
   A1.fill (A1.sub tbl 0 len) fill;
   tbl
+
+let dense ~states ~hi = 2 * states >= hi + 1

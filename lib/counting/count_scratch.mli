@@ -44,3 +44,9 @@ val float_slot : t -> int -> int -> fill:float -> float_table
 val int_slot_raw : t -> int -> int -> int_table
 
 val float_slot_raw : t -> int -> int -> float_table
+
+(** [dense ~states ~hi] — the list-or-grid rule the layer kernels
+    ({!Gkm}, {!State_dp}) share: a layer whose [states] entries fill at
+    least half of the span [[0, hi]] it can reach runs on a dense grid
+    indexed by weight; a sparser one runs on the sorted list. *)
+val dense : states:int -> hi:int -> bool

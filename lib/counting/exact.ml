@@ -57,8 +57,14 @@ let meet_middle robp =
   done;
   !count
 
+(* Cheaper engine first: meet-in-the-middle costs ~2^ceil(n/2) sums per
+   half, the state DP ~n (K + 1) cell updates.  Both are exact below 2^53,
+   so the choice changes the time, never the value. *)
 let count_robp robp =
-  if Robp.size robp <= 40 then meet_middle robp else State_dp.count robp
+  let n = Robp.size robp in
+  if n <= 40 && 1 lsl ((n + 1) / 2) < n * (Robp.capacity robp + 1) then
+    meet_middle robp
+  else State_dp.count robp
 
 let count ?(sink = Obs.null) oracle =
   Obs.phase sink "exact-count" (fun () -> count_robp (Robp.build ~sink oracle))

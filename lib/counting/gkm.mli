@@ -7,10 +7,20 @@
     breakpoints with cumulative counts, where a breakpoint survives only if
     its cumulative count exceeds the last kept one by a factor [(1 + d)] —
     so at most [O(log_(1+d) 2^i)] states per layer.  Each layer first
-    builds the true successor CDF of the sparsified predecessor (merge of
-    the "skip" copy and the "take" shift, two pointers, flat buffers), then
+    builds the true successor CDF of the sparsified predecessor at every
+    candidate breakpoint of the "skip" copy and the "take" shift, then
     re-sparsifies; when a [width] budget is given and the kept set still
     exceeds it, the layer's [d] doubles until it fits.
+
+    A layer is a sorted breakpoint list (merge plus sparsify pass) while it
+    is sparse.  Once its breakpoints fill at least half of the span the
+    next layer can reach ({!Count_scratch.dense}) it runs on a dense grid
+    over [[0, capacity]] — the CDF value and a breakpoint flag per weight —
+    where one pass does merge and sparsify at once; it returns to the list
+    if the span outgrows it.  Both forms evaluate the same candidates with
+    the same float additions in the same order, so every field of the
+    result is bit-identical whichever runs.  Sparse, huge-capacity and
+    tightly width-capped programs stay on the list.
 
     Dropping breakpoints only ever {e under}-approximates, and by at most
     [(1 + d)] per layer, so the result carries a certified two-sided

@@ -117,6 +117,89 @@ let test_exact_oracle_dispatch () =
   Alcotest.(check (float 0.)) "dispatch = brute" (brute weights ~capacity:9) z;
   Alcotest.(check int) "n queries" 6 (Counters.index_queries counters)
 
+(* n = 40 with a small capacity: [count_robp] picks the state DP here
+   (2^20 sums per half against 40 (K + 1) cells), and every exact engine
+   must still agree. *)
+let test_exact_small_capacity_n40 () =
+  let weights = Array.init 40 (fun i -> 1 + ((i * 7) mod 5)) in
+  let robp = robp_of weights ~capacity:12 in
+  let z = Exact.meet_middle robp in
+  Alcotest.(check (float 0.)) "state-dp" z (State_dp.count robp);
+  Alcotest.(check (float 0.)) "count_robp" z (Exact.count_robp robp);
+  Alcotest.(check (float 0.)) "sampler" z (Sampler.count (Sampler.of_robp robp))
+
+(* ---------- list and grid layer forms ---------- *)
+
+(* Scaling every weight by [k] and the capacity to [k K + r] (0 <= r < k)
+   keeps every count, breakpoint set and float addition of both layer
+   kernels, but spreads the states k apart: with k >= 3 the scaled run
+   stays on the sorted list while a dense original moves to the grid. *)
+let scaled ~k ~r weights ~capacity =
+  robp_of (Array.map (fun w -> k * w) weights) ~capacity:((k * capacity) + r)
+
+let bits = Int64.bits_of_float
+
+let same_gkm (a : Gkm.result) (b : Gkm.result) =
+  bits a.lower = bits b.lower
+  && bits a.upper = bits b.upper
+  && bits a.estimate = bits b.estimate
+  && bits a.delta = bits b.delta
+  && a.width = b.width && a.merges = b.merges
+
+let check_gkm name (a : Gkm.result) (b : Gkm.result) =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: lower %h/%h width %d/%d merges %d/%d" name a.lower
+       b.lower a.width b.width a.merges b.merges)
+    true (same_gkm a b)
+
+(* Every engine on [weights] against its scaled, list-bound copy. *)
+let check_forms ?width ~eps name weights ~capacity =
+  let robp = robp_of weights ~capacity in
+  let sparse = scaled ~k:3 ~r:2 weights ~capacity in
+  let gkm r = Gkm.count_in ~eps (Count_scratch.create ()) r in
+  let capped r = Gkm.count_in ?width ~eps (Count_scratch.create ()) r in
+  check_gkm (name ^ " gkm") (gkm robp) (gkm sparse);
+  check_gkm (name ^ " gkm width") (capped robp) (capped sparse);
+  Alcotest.(check int64)
+    (name ^ " state-dp")
+    (bits (State_dp.count sparse))
+    (bits (State_dp.count robp))
+
+let test_grid_edges () =
+  check_forms ~width:3 ~eps:0.2 "zero weights" [| 0; 1; 0; 2; 1; 0; 3 |] ~capacity:4;
+  check_forms ~width:3 ~eps:0.2 "heavier than K" [| 1; 1; 50; 1; 2; 9 |] ~capacity:4;
+  check_forms ~width:1 ~eps:0.2 "K = 0" [| 0; 3; 0; 1 |] ~capacity:0;
+  check_forms ~width:1 ~eps:0.2 "n = 1 fits" [| 1 |] ~capacity:1;
+  check_forms ~width:1 ~eps:0.2 "n = 1 too heavy" [| 2 |] ~capacity:1;
+  Alcotest.(check (float 0.)) "zero weights exact"
+    (brute [| 0; 1; 0; 2; 1; 0; 3 |] ~capacity:4)
+    (State_dp.count (robp_of [| 0; 1; 0; 2; 1; 0; 3 |] ~capacity:4))
+
+let test_grid_width_overrun () =
+  (* Capacity 10, width 6: every layer fills its span, so the run is on the
+     grid from the first layer, and the budget forces delta to double. *)
+  let weights = Array.init 30 (fun i -> 1 + (i mod 3)) in
+  let eps = 0.1 in
+  check_forms ~width:6 ~eps "overrun" weights ~capacity:10;
+  let r = Gkm.count_in ~width:6 ~eps (Count_scratch.create ()) (robp_of weights ~capacity:10) in
+  Alcotest.(check bool) "width respected" true (r.Gkm.width <= 6);
+  (* delta0 = eps / (2 (n + 1)) *)
+  Alcotest.(check bool) "delta coarsened" true (r.Gkm.delta > eps /. 62.)
+
+let test_grid_overflow () =
+  (* n = 1100 small weights at half their total: the float counts overflow.
+     The grid run reports what the list run does: an infinite floor, and
+     once every count is infinite every candidate is kept (width K + 1). *)
+  let n = 1100 in
+  let weights = Array.init n (fun i -> 1 + (i mod 3)) in
+  let capacity = Array.fold_left ( + ) 0 weights / 2 in
+  let robp = robp_of weights ~capacity in
+  let g = Gkm.count_in ~eps:0.25 (Count_scratch.create ()) robp in
+  let l = Gkm.count_in ~eps:0.25 (Count_scratch.create ()) (scaled ~k:3 ~r:0 weights ~capacity) in
+  check_gkm "overflow" g l;
+  Alcotest.(check bool) "lower = inf" true (g.Gkm.lower = Float.infinity);
+  Alcotest.(check int) "width = K + 1" (capacity + 1) g.Gkm.width
+
 (* ---------- approximate counters: edges ---------- *)
 
 let check_bracket name ~eps ~exact ~estimate ~lower ~upper =
@@ -169,7 +252,24 @@ let test_scratch_reuse_bit_identical () =
   let b = Gkm.count_in ~eps:0.15 shared r1 in
   let fresh = Gkm.count_in ~eps:0.15 (Count_scratch.create ()) r1 in
   Alcotest.(check bool) "reused scratch = first run" true (a = b);
-  Alcotest.(check bool) "reused scratch = fresh scratch" true (a = fresh)
+  Alcotest.(check bool) "reused scratch = fresh scratch" true (a = fresh);
+  (* A large grid, a list-bound program and a smaller grid in turn on one
+     scratch: stale cells of the larger planes must not leak. *)
+  let big = robp_of (Array.init 60 (fun i -> 1 + (i mod 4))) ~capacity:150 in
+  let sparse = robp_of (Array.init 12 (fun i -> 97 + (i * 31))) ~capacity:700 in
+  let small = robp_of (Array.init 20 (fun i -> 1 + (i mod 3))) ~capacity:17 in
+  let run r = (Gkm.count_in ~eps:0.15 shared r, State_dp.count_in shared r) in
+  let fresh_run r =
+    let scratch = Count_scratch.create () in
+    (Gkm.count_in ~eps:0.15 scratch r, State_dp.count_in scratch r)
+  in
+  List.iter
+    (fun (name, r) ->
+      let g, z = run r in
+      let g', z' = fresh_run r in
+      check_gkm (name ^ " gkm reused") g g';
+      Alcotest.(check int64) (name ^ " state-dp reused") (bits z') (bits z))
+    [ ("large grid", big); ("list", sparse); ("small grid", small) ]
 
 (* ---------- sampler ---------- *)
 
@@ -257,6 +357,7 @@ let prop_exact_engines_agree =
       let z = Exact.enumerate robp in
       Float.equal z (Exact.meet_middle robp)
       && Float.equal z (State_dp.count robp)
+      && Float.equal z (Exact.count_robp robp)
       && Float.equal z (Sampler.count (Sampler.of_robp robp)))
 
 let approx_within ~eps (weights, capacity) =
@@ -294,6 +395,24 @@ let prop_gkm_capped_bracket =
       let r = Gkm.count_in ~width:6 ~eps:0.3 (Count_scratch.create ()) robp in
       r.Gkm.width <= 6 && r.Gkm.lower <= z +. 1e-9 && z <= r.Gkm.upper +. 1e-9)
 
+(* Dense originals (small weights, moderate capacity) move to the grid;
+   their scaled copies stay on the list.  Every result field, with and
+   without a width budget, and the exact count must match bit for bit. *)
+let prop_grid_matches_list =
+  QCheck.Test.make ~name:"grid layers = list layers (scaled-weights metamorphic)"
+    ~count:300
+    QCheck.(
+      quad (weights_arb ~max_n:40 ~max_w:8 ~max_cap:60) (int_range 3 6)
+        (int_range 0 5) (int_range 1 12))
+    (fun ((weights, capacity), k, r, width) ->
+      let r = r mod k in
+      let robp = robp_of weights ~capacity in
+      let sparse = scaled ~k ~r weights ~capacity in
+      let gkm ?width rb = Gkm.count_in ?width ~eps:0.2 (Count_scratch.create ()) rb in
+      same_gkm (gkm robp) (gkm sparse)
+      && same_gkm (gkm ~width robp) (gkm ~width sparse)
+      && bits (State_dp.count robp) = bits (State_dp.count sparse))
+
 let prop_robp_oracle_matches_direct =
   QCheck.Test.make ~name:"oracle-built robp = of_weights (and bills n queries)"
     ~count:120
@@ -320,6 +439,7 @@ let () =
         [
           Alcotest.test_case "known counts" `Quick test_exact_known_counts;
           Alcotest.test_case "oracle dispatch" `Quick test_exact_oracle_dispatch;
+          Alcotest.test_case "n=40 small capacity" `Quick test_exact_small_capacity_n40;
         ] );
       ( "approx",
         [
@@ -327,6 +447,9 @@ let () =
           Alcotest.test_case "gkm width budget" `Quick test_gkm_width_budget;
           Alcotest.test_case "scratch reuse bit-identical" `Quick
             test_scratch_reuse_bit_identical;
+          Alcotest.test_case "grid edges = list path" `Quick test_grid_edges;
+          Alcotest.test_case "grid width overrun" `Quick test_grid_width_overrun;
+          Alcotest.test_case "grid overflow n=1100" `Quick test_grid_overflow;
         ] );
       ( "sampler",
         [ Alcotest.test_case "uniform + deterministic" `Quick test_sampler_draws ] );
@@ -338,6 +461,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_approx_tight;
           QCheck_alcotest.to_alcotest prop_approx_loose;
           QCheck_alcotest.to_alcotest prop_gkm_capped_bracket;
+          QCheck_alcotest.to_alcotest prop_grid_matches_list;
           QCheck_alcotest.to_alcotest prop_robp_oracle_matches_direct;
         ] );
     ]
